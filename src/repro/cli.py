@@ -487,6 +487,12 @@ def cmd_agent(args) -> int:
         print(f"--connect wants HOST:PORT, got {args.connect!r}",
               file=sys.stderr)
         return 2
+    if not args.poll < args.timeout:
+        # An idle lease is held open for --poll seconds; one that
+        # outlasts the RPC timeout would be retried as a lost message.
+        print(f"--poll ({args.poll:g}) must be below --timeout "
+              f"({args.timeout:g})", file=sys.stderr)
+        return 2
     if faults.active():
         print(faults.describe(), flush=True)
     agent_id = args.agent_id or f"agent-{os.getpid()}"
@@ -537,14 +543,21 @@ def cmd_campaign(args) -> int:
         merged = None
         deadline = _time.monotonic() + args.timeout
         while _time.monotonic() < deadline:
+            # The coordinator holds the call until the campaign merges
+            # (or its own cap); 5 s stays well inside the RPC timeout.
+            wait_s = min(5.0, deadline - _time.monotonic())
             status = fleet_rpc.call(address,
                                     {"op": "campaign_status",
                                      "campaign_id": cid,
-                                     "include_result": True})
+                                     "include_result": True,
+                                     "wait_s": wait_s})
+            if not status.get("ok"):
+                print(f"campaign {cid}: {status.get('error')}",
+                      file=sys.stderr)
+                return 1
             if status.get("done"):
                 merged = status["result"]
                 break
-            _time.sleep(0.3)
     else:
         coordinator = FleetCoordinator(
             heartbeat_timeout_s=args.heartbeat_timeout,
@@ -812,7 +825,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent-id", default=None,
                    help="agent identity (default agent-<pid>)")
     p.add_argument("--poll", type=float, default=0.2, metavar="S",
-                   help="idle poll interval (default 0.2)")
+                   help="longest an idle lease waits at the coordinator "
+                        "(default 0.2; must be below --timeout)")
     p.add_argument("--timeout", type=float, default=10.0, metavar="S",
                    help="per-RPC timeout (default 10)")
     p.add_argument("--exit-when-idle", type=int, default=None,
@@ -840,7 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes-per-shard", type=int, default=8)
     p.add_argument("--targets-per-probe", type=int, default=8)
     p.add_argument("--poll", type=float, default=0.05, metavar="S",
-                   help="agent idle poll interval (default 0.05)")
+                   help="longest an idle lease waits at the coordinator "
+                        "(default 0.05)")
     p.add_argument("--heartbeat-timeout", type=float, default=10.0,
                    metavar="S")
     p.add_argument("--lease-timeout", type=float, default=30.0,

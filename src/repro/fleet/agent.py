@@ -97,7 +97,6 @@ class AgentStats:
     agent_id: str
     units_done: int = 0
     polls: int = 0
-    heartbeats: int = 0
     shutdown: bool = False
     errors: list[str] = field(default_factory=list)
 
@@ -150,14 +149,18 @@ class Agent:
         self.stats.units_done += 1
 
     def run(self) -> AgentStats:
-        """Register and pull until drained, stopped or idled out."""
+        """Register and pull until drained, stopped or idled out.
+
+        An idle lease waits up to ``poll_s`` at the coordinator, which
+        answers as soon as a unit can be granted, so a new campaign or
+        an opened round reaches an idle agent without a sleep."""
         self._call({"op": "register"},
                    ident=f"register:{self.agent_id}")
         idle = 0
         while not self._stop.is_set():
             self.stats.polls += 1
             resp = self._call(
-                {"op": "lease"},
+                {"op": "lease", "wait_s": self._poll_s},
                 ident=f"lease:{self.agent_id}:{self.stats.polls}")
             if resp.get("shutdown"):
                 self.stats.shutdown = True
@@ -168,10 +171,9 @@ class Agent:
                 if self._max_idle_polls is not None \
                         and idle >= self._max_idle_polls:
                     break
-                self._call({"op": "heartbeat"},
-                           ident=f"hb:{self.agent_id}:{idle}")
-                self.stats.heartbeats += 1
-                self._stop.wait(self._poll_s)
+                if not resp.get("ok"):
+                    # A refused lease did not wait: back off instead.
+                    self._stop.wait(self._poll_s)
                 continue
             idle = 0
             self._run_unit(unit)

@@ -26,6 +26,13 @@ schedules repeated sweeps.  When the last unit lands the coordinator
 merges (:func:`repro.fleet.campaign.merge_results`), optionally
 persists the artifact in the content-addressed store, and wakes
 :meth:`FleetCoordinator.wait` callers.
+
+A lease is a **long-poll**: an agent that cannot be granted a unit
+waits on the coordinator's condition, and a submit, a new campaign,
+an opened round, a released lease or a drain ends the wait at once.
+The wait is capped at half the heartbeat timeout
+(:meth:`FleetCoordinator.clamp_wait`), so a waiting agent is never
+swept as lost.
 """
 
 from __future__ import annotations
@@ -147,6 +154,9 @@ class FleetCoordinator:
         self._agents: dict[str, AgentInfo] = {}
         self._campaigns: dict[str, Campaign] = {}
         self._order: list[str] = []
+        #: Ids of campaigns not yet merged, in submission order.  Every
+        #: per-call scan walks this, never the whole history.
+        self._open: list[str] = []
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._lease_counter = 0
@@ -162,12 +172,8 @@ class FleetCoordinator:
             return
         # Logical timestamp: the campaign round currently executing —
         # never wall clock, so pinned-seed logs stay reproducible.
-        ts = 0.0
-        for cid in self._order:
-            c = self._campaigns[cid]
-            if not c.done:
-                ts = float(c.current_round)
-                break
+        ts = (float(self._campaigns[self._open[0]].current_round)
+              if self._open else 0.0)
         self._eventlog.append([make_event(ts, etype, scope, a=a, b=b,
                                           value=value, ok=ok)])
 
@@ -195,8 +201,8 @@ class FleetCoordinator:
         for agent in lost_agents:
             agent.state = LOST
             released = 0
-            for c in self._campaigns.values():
-                for unit in c.units.values():
+            for cid in self._open:
+                for unit in self._campaigns[cid].units.values():
                     if unit.status == LEASED \
                             and unit.agent_id == agent.agent_id:
                         self._release(unit, "agent_lost")
@@ -208,8 +214,8 @@ class FleetCoordinator:
             self._emit(EventType.AGENT_LOST, agent.agent_id,
                        a=agent.pid, b=released, ok=False)
         expired = 0
-        for c in self._campaigns.values():
-            for unit in c.units.values():
+        for cid in self._open:
+            for unit in self._campaigns[cid].units.values():
                 if unit.status == LEASED and now > unit.deadline:
                     agent_id = unit.agent_id or ""
                     self._release(unit, "expired")
@@ -247,6 +253,7 @@ class FleetCoordinator:
         c.merged = merge_results(c.spec, docs)
         c.digest = merged_digest(c.merged)
         c.done = True
+        self._open.remove(c.campaign_id)
         if self._store is not None:
             key = ArtifactKey.make(
                 kind=ARTIFACT_KIND, seed=c.spec.seed,
@@ -283,57 +290,81 @@ class FleetCoordinator:
                 _HEARTBEATS.inc()
             return {"ok": True, "shutdown": self._draining}
 
-    def lease(self, agent_id: str, pid: int = 0) -> dict[str, Any]:
+    def clamp_wait(self, wait_s: float) -> float:
+        """``wait_s`` bounded to ``[0, heartbeat_timeout_s / 2]``.
+
+        A long-poll that outlasted the heartbeat timeout would get its
+        own agent swept as lost; the cap also bounds how long a server
+        stop waits for the handler threads it joins."""
+        if not wait_s > 0:  # also maps NaN to 0
+            return 0.0
+        return min(wait_s, self._heartbeat_timeout_s / 2)
+
+    def _grant(self, agent_id: str) -> Optional[dict[str, Any]]:
+        """Lease ``agent_id`` its next unit, if any (lock held)."""
+        now = self._clock()
+        for cid in self._open:
+            c = self._campaigns[cid]
+            held = [u for u in c.units.values()
+                    if u.status == LEASED and u.agent_id == agent_id]
+            if held:
+                unit = held[0]
+                if telemetry.enabled():
+                    _LEASES.labels(outcome="regrant").inc()
+            else:
+                pending = sorted(
+                    (u for u in c.units.values()
+                     if u.status == PENDING
+                     and u.round == c.current_round),
+                    key=lambda u: (u.round, u.shard))
+                if not pending:
+                    continue
+                unit = pending[0]
+                self._lease_counter += 1
+                unit.status = LEASED
+                unit.lease_id = f"l{self._lease_counter:06d}"
+                unit.agent_id = agent_id
+                unit.attempts += 1
+                if telemetry.enabled():
+                    _LEASES.labels(outcome="granted").inc()
+                self._emit(EventType.LEASE_GRANTED, agent_id,
+                           a=unit.round, b=unit.shard,
+                           value=unit.attempts)
+            unit.deadline = now + self._lease_timeout_s
+            return {"campaign_id": c.campaign_id,
+                    "lease_id": unit.lease_id,
+                    "round": unit.round,
+                    "shard": unit.shard,
+                    "attempt": unit.attempts,
+                    "spec": c.spec.to_dict()}
+        return None
+
+    def lease(self, agent_id: str, pid: int = 0,
+              wait_s: float = 0.0) -> dict[str, Any]:
         """Grant (or re-grant) one unit lease to ``agent_id``.
 
         Re-polling while holding an unexpired lease returns the same
         lease — a lost grant response (``fleet.msg_drop``) is repaired
         by the agent's retry, not by double-assignment.
+
+        When no unit can be granted, the call waits until one can, the
+        fleet drains, or ``wait_s`` (see :meth:`clamp_wait`) passes.
+        The deadline is on :func:`time.monotonic`, not the injectable
+        clock, so a fake clock cannot stretch it.  Every wake re-runs
+        the sweep and refreshes the caller.
         """
+        deadline = time.monotonic() + self.clamp_wait(wait_s)
         with self._lock:
-            self._sweep()
-            self._touch(agent_id, pid)
-            if self._draining:
-                return {"ok": True, "unit": None, "shutdown": True}
-            now = self._clock()
-            for cid in self._order:
-                c = self._campaigns[cid]
-                if c.done:
-                    continue
-                held = [u for u in c.units.values()
-                        if u.status == LEASED and u.agent_id == agent_id]
-                if held:
-                    unit = held[0]
-                    if telemetry.enabled():
-                        _LEASES.labels(outcome="regrant").inc()
-                else:
-                    pending = sorted(
-                        (u for u in c.units.values()
-                         if u.status == PENDING
-                         and u.round == c.current_round),
-                        key=lambda u: (u.round, u.shard))
-                    if not pending:
-                        continue
-                    unit = pending[0]
-                    self._lease_counter += 1
-                    unit.status = LEASED
-                    unit.lease_id = f"l{self._lease_counter:06d}"
-                    unit.agent_id = agent_id
-                    unit.attempts += 1
-                    if telemetry.enabled():
-                        _LEASES.labels(outcome="granted").inc()
-                    self._emit(EventType.LEASE_GRANTED, agent_id,
-                               a=unit.round, b=unit.shard,
-                               value=unit.attempts)
-                unit.deadline = now + self._lease_timeout_s
-                return {"ok": True, "shutdown": False,
-                        "unit": {"campaign_id": c.campaign_id,
-                                 "lease_id": unit.lease_id,
-                                 "round": unit.round,
-                                 "shard": unit.shard,
-                                 "attempt": unit.attempts,
-                                 "spec": c.spec.to_dict()}}
-            return {"ok": True, "unit": None, "shutdown": False}
+            while True:
+                self._sweep()
+                self._touch(agent_id, pid)
+                if self._draining:
+                    return {"ok": True, "unit": None, "shutdown": True}
+                unit = self._grant(agent_id)
+                remaining = deadline - time.monotonic()
+                if unit is not None or remaining <= 0:
+                    return {"ok": True, "unit": unit, "shutdown": False}
+                self._changed.wait(remaining)
 
     def submit(self, agent_id: str, campaign_id: str, lease_id: str,
                round_idx: int, shard: int,
@@ -389,9 +420,8 @@ class FleetCoordinator:
         """Queue a campaign; returns its id.  Re-submitting an
         identical spec returns the existing campaign (idempotent)."""
         with self._lock:
-            for cid in self._order:
-                c = self._campaigns[cid]
-                if c.spec == spec and not c.done:
+            for cid in self._open:
+                if self._campaigns[cid].spec == spec:
                     return cid
             bundle = bundle_for(spec.seed, spec.scale)
             plan = shards_for(bundle, spec)
@@ -405,6 +435,7 @@ class FleetCoordinator:
                 campaign_id=cid, spec=spec, units=units,
                 shard_plan=plan)
             self._order.append(cid)
+            self._open.append(cid)
             self._emit(EventType.CAMPAIGN_BEGIN, cid, a=spec.rounds,
                        b=spec.shards)
             if telemetry.enabled():
@@ -415,9 +446,10 @@ class FleetCoordinator:
     def wait(self, campaign_id: str,
              timeout: Optional[float] = None) -> Optional[dict[str, Any]]:
         """Block until the campaign merges; returns the merged doc
-        (or ``None`` on timeout).  Runs the sweep while waiting, so a
-        coordinator with no other traffic still expires dead leases."""
-        deadline = None if timeout is None else self._clock() + timeout
+        (or ``None`` on timeout, measured on :func:`time.monotonic`).
+        Runs the sweep while waiting, so a coordinator with no other
+        traffic still expires dead leases."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
                 c = self._campaigns.get(campaign_id)
@@ -425,9 +457,12 @@ class FleetCoordinator:
                     raise KeyError(f"unknown campaign {campaign_id!r}")
                 if c.done:
                     return c.merged
-                if deadline is not None and self._clock() >= deadline:
-                    return None
-                self._changed.wait(timeout=0.2)
+                step = 0.2
+                if deadline is not None:
+                    step = min(step, deadline - time.monotonic())
+                    if step <= 0:
+                        return None
+                self._changed.wait(timeout=step)
                 self._sweep()
 
     def campaign(self, campaign_id: str) -> Optional[Campaign]:

@@ -7,6 +7,12 @@ retryable, which is the property the loss-tolerance story rests on.
 Agents assume any message can vanish (`fleet.msg_drop` injects
 exactly that, on either leg) and simply retry; every coordinator
 operation is idempotent, so retries are safe by construction.
+
+``lease`` and ``campaign_status`` take an optional ``wait_s``: the
+longest the coordinator may hold the request open before answering
+(clamped by :meth:`FleetCoordinator.clamp_wait`; absent or 0 answers
+at once).  A lease answers as soon as a unit can be granted, a status
+as soon as the campaign merges.
 """
 
 from __future__ import annotations
@@ -71,12 +77,16 @@ def dispatch(coordinator: FleetCoordinator,
         _RPC.labels(op=op).inc()
     agent_id = str(doc.get("agent_id", ""))
     pid = int(doc.get("pid", 0))
+    wait_s = doc.get("wait_s", 0)
+    if isinstance(wait_s, bool) or not isinstance(wait_s, (int, float)):
+        return {"ok": False,
+                "error": f"wait_s must be a number, got {wait_s!r}"}
     if op == "register":
         return coordinator.register(agent_id, pid=pid)
     if op == "heartbeat":
         return coordinator.heartbeat(agent_id, pid=pid)
     if op == "lease":
-        return coordinator.lease(agent_id, pid=pid)
+        return coordinator.lease(agent_id, pid=pid, wait_s=wait_s)
     if op == "submit":
         return coordinator.submit(
             agent_id, str(doc["campaign_id"]), str(doc["lease_id"]),
@@ -89,6 +99,8 @@ def dispatch(coordinator: FleetCoordinator,
         c = coordinator.campaign(str(doc.get("campaign_id", "")))
         if c is None:
             return {"ok": False, "error": "unknown campaign"}
+        coordinator.wait(c.campaign_id,
+                         timeout=coordinator.clamp_wait(wait_s))
         out = {"ok": True, **c.to_dict()}
         if doc.get("include_result") and c.done:
             out["result"] = c.merged

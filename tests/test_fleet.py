@@ -14,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro import faults
 from repro.topology import WorldParams, build_world
 from repro.fleet import (
+    Agent,
     AgentCrashed,
     CampaignSpec,
     CoordinatorServer,
@@ -35,6 +37,7 @@ from repro.fleet import (
     shards_for,
     spawn_local_agents,
 )
+from repro.fleet import rpc
 
 SEED = 2025
 #: Small but non-trivial: 2 rounds x 4 shards = 8 units, every African
@@ -162,6 +165,28 @@ def _fake_result(round_idx: int, shard: int,
             "measurements": 1, "reached": 1, "rtt_count": 1,
             "dns_runs": 0, "dns_ok": 0, "wire_bytes": 10,
             "rtt_sum_ms": 5.0}
+
+
+def _submit(coord: FleetCoordinator, agent_id: str, cid: str,
+            unit: dict) -> dict:
+    return coord.submit(agent_id, cid, unit["lease_id"], unit["round"],
+                        unit["shard"],
+                        _fake_result(unit["round"], unit["shard"]))
+
+
+def _run_to_merge(coord: FleetCoordinator, cid: str,
+                  agent_id: str) -> None:
+    while not coord.campaign(cid).done:
+        _submit(coord, agent_id, cid, coord.lease(agent_id)["unit"])
+
+
+class _Unwalkable(dict):
+    """A finished campaign's units: lookups work, any walk fails."""
+
+    def _walk(self, *args):
+        raise AssertionError("walked a finished campaign's units")
+
+    __iter__ = keys = values = items = _walk
 
 
 class TestCoordinatorProtocol:
@@ -298,6 +323,174 @@ class TestCoordinatorProtocol:
         assert self.coord.lease("a")["shutdown"] is True
         assert self.coord.lease("a")["unit"] is None
         assert self.coord.register("z")["shutdown"] is True
+
+    def test_long_poll_deadline_ignores_the_injected_clock(self):
+        # Every round-0 unit is out and the fake clock never moves:
+        # the wait must still end, on the real clock.
+        for i in range(SPEC.shards):
+            assert self.coord.lease(f"a{i}")["unit"] is not None
+        t0 = time.monotonic()
+        reply = self.coord.lease("b", wait_s=0.3)
+        assert reply == {"ok": True, "unit": None, "shutdown": False}
+        assert 0.25 <= time.monotonic() - t0 < 5.0
+
+    def test_finished_campaigns_are_not_walked(self, tmp_path, request):
+        from repro.eventlog import EventLog
+
+        log = EventLog(tmp_path / "ev", fsync=False)
+        request.addfinalizer(log.close)
+        coord = FleetCoordinator(heartbeat_timeout_s=10.0,
+                                 lease_timeout_s=30.0, clock=self.clock,
+                                 eventlog=log)
+        first = coord.submit_campaign(SPEC)
+        _run_to_merge(coord, first, "a")
+        done = coord.campaign(first)
+        last = (SPEC.rounds - 1, SPEC.shards - 1)
+        done.units = _Unwalkable(done.units)
+        other = CampaignSpec(seed=SEED, scale=0.1, rounds=2, shards=2,
+                             probes_per_shard=2, targets_per_probe=2)
+        second = coord.submit_campaign(other)
+        assert coord.submit_campaign(other) == second
+        assert coord.heartbeat("b")["ok"]
+        # A late duplicate for the finished campaign is a lookup.
+        assert coord.submit("a", first, "l0", *last,
+                            _fake_result(*last))["duplicate"]
+        _run_to_merge(coord, second, "b")
+        assert coord.campaign(second).done
+        assert coord.lease("b") == {"ok": True, "unit": None,
+                                    "shutdown": False}
+
+
+# ----------------------------------------------------------------------
+# Long-poll leases (real clock; slack wide enough for a slow host)
+# ----------------------------------------------------------------------
+class _Call(threading.Thread):
+    """Run ``fn()`` on a thread; keep its result and when it returned."""
+
+    def __init__(self, fn) -> None:
+        super().__init__(daemon=True)
+        self._fn = fn
+        self.result = None
+        self.returned_at = None
+
+    def run(self) -> None:
+        self.result = self._fn()
+        self.returned_at = time.monotonic()
+
+
+def _waiting(fn) -> _Call:
+    call = _Call(fn)
+    call.start()
+    time.sleep(0.2)
+    assert call.is_alive(), "answered at once instead of waiting"
+    return call
+
+
+def _answered_within(call: _Call, since: float, slack_s: float) -> None:
+    call.join(timeout=10.0)
+    assert not call.is_alive()
+    assert call.returned_at - since < slack_s
+
+
+class TestLongPoll:
+    def test_barrier_lease_returns_when_the_round_opens(self):
+        coord = FleetCoordinator()
+        cid = coord.submit_campaign(SPEC)
+        held = coord.lease("a")["unit"]
+        for _ in range(SPEC.shards - 1):
+            _submit(coord, "b", cid, coord.lease("b")["unit"])
+        call = _waiting(lambda: coord.lease("b", wait_s=5.0))
+        _submit(coord, "a", cid, held)
+        _answered_within(call, time.monotonic(), 1.0)
+        assert call.result["unit"]["round"] == 1
+
+    def test_waiting_lease_wakes_on_a_new_campaign(self):
+        coord = FleetCoordinator()
+        call = _waiting(lambda: coord.lease("a", wait_s=5.0))
+        cid = coord.submit_campaign(SPEC)
+        _answered_within(call, time.monotonic(), 1.0)
+        assert call.result["unit"]["campaign_id"] == cid
+
+    def test_waiting_lease_wakes_on_drain(self):
+        coord = FleetCoordinator()
+        call = _waiting(lambda: coord.lease("a", wait_s=5.0))
+        coord.drain()
+        _answered_within(call, time.monotonic(), 1.0)
+        assert call.result == {"ok": True, "unit": None, "shutdown": True}
+
+    def test_wait_is_capped_at_half_the_heartbeat_timeout(self):
+        coord = FleetCoordinator(heartbeat_timeout_s=2.0)
+        t0 = time.monotonic()
+        reply = coord.lease("a", wait_s=30.0)
+        assert reply == {"ok": True, "unit": None, "shutdown": False}
+        assert 0.9 <= time.monotonic() - t0 < 5.0
+        states = {a["agent_id"]: a["state"]
+                  for a in coord.status()["agents"]}
+        assert states == {"a": "alive"}
+
+    def test_zero_or_negative_wait_answers_at_once(self):
+        coord = FleetCoordinator()
+        for doc in ({}, {"wait_s": 0}, {"wait_s": -3.0}):
+            t0 = time.monotonic()
+            reply = rpc.dispatch(coord, {"op": "lease", "agent_id": "a",
+                                         **doc})
+            assert reply == {"ok": True, "unit": None, "shutdown": False}
+            assert time.monotonic() - t0 < 0.5
+
+    def test_non_numeric_wait_is_refused(self):
+        coord = FleetCoordinator()
+        cid = coord.submit_campaign(SPEC)
+        for op in ("lease", "campaign_status"):
+            for bad in ("soon", None, True, [1.0]):
+                reply = rpc.dispatch(coord, {"op": op, "agent_id": "a",
+                                             "campaign_id": cid,
+                                             "wait_s": bad})
+                assert reply["ok"] is False
+                assert "wait_s" in reply["error"]
+        assert coord.status()["agents"] == []
+
+    def test_campaign_status_wait_returns_on_merge(self):
+        coord = FleetCoordinator()
+        cid = coord.submit_campaign(SPEC)
+        for _ in range(len(SPEC.units()) - 1):
+            _submit(coord, "a", cid, coord.lease("a")["unit"])
+        last = coord.lease("a")["unit"]
+        status = {"op": "campaign_status", "campaign_id": cid,
+                  "include_result": True}
+        t0 = time.monotonic()
+        assert rpc.dispatch(coord, status)["done"] is False
+        assert time.monotonic() - t0 < 0.5
+        call = _waiting(lambda: rpc.dispatch(coord,
+                                             {**status, "wait_s": 5.0}))
+        _submit(coord, "a", cid, last)
+        _answered_within(call, time.monotonic(), 1.0)
+        assert call.result["done"] is True
+        assert call.result["result"] == coord.campaign(cid).merged
+
+    def test_idle_agent_only_leases(self):
+        coord = FleetCoordinator()
+        ops: list[str] = []
+
+        class Recording(LocalClient):
+            def call(self, doc, ident=""):
+                ops.append(doc["op"])
+                return super().call(doc, ident=ident)
+
+        agent = Agent(Recording(coord), "idle", poll_s=0.1,
+                      max_idle_polls=3)
+        t0 = time.monotonic()
+        stats = agent.run()
+        # Three idle polls, each waited out at the coordinator.
+        assert 0.25 <= time.monotonic() - t0 < 5.0
+        assert ops == ["register", "lease", "lease", "lease"]
+        assert stats.polls == 3
+
+    def test_agent_refuses_a_poll_not_below_its_rpc_timeout(self, capsys):
+        from repro.cli import main
+
+        assert main(["agent", "--connect", "127.0.0.1:9", "--poll", "10",
+                     "--timeout", "10"]) == 2
+        assert "--poll" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
