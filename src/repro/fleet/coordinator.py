@@ -113,6 +113,9 @@ class Campaign:
     campaign_id: str
     spec: CampaignSpec
     units: dict[tuple[int, int], UnitState]
+    #: The spec as submitted; ``spec`` has ``shards`` capped to the
+    #: plan.  Resubmissions are matched against this one.
+    submitted: CampaignSpec
     current_round: int = 0
     done: bool = False
     merged: Optional[dict[str, Any]] = None
@@ -421,23 +424,23 @@ class FleetCoordinator:
         identical spec returns the existing campaign (idempotent)."""
         with self._lock:
             for cid in self._open:
-                if self._campaigns[cid].spec == spec:
+                if self._campaigns[cid].submitted == spec:
                     return cid
             bundle = bundle_for(spec.seed, spec.scale)
             plan = shards_for(bundle, spec)
-            spec = CampaignSpec(**{**spec.to_dict(),
-                                   "shards": len(plan)})
+            capped = CampaignSpec(**{**spec.to_dict(),
+                                     "shards": len(plan)})
             self._campaign_counter += 1
-            cid = f"c{self._campaign_counter:03d}-{spec.digest[:8]}"
+            cid = f"c{self._campaign_counter:03d}-{capped.digest[:8]}"
             units = {(r, s): UnitState(round=r, shard=s)
-                     for r, s in spec.units()}
+                     for r, s in capped.units()}
             self._campaigns[cid] = Campaign(
-                campaign_id=cid, spec=spec, units=units,
-                shard_plan=plan)
+                campaign_id=cid, spec=capped, units=units,
+                submitted=spec, shard_plan=plan)
             self._order.append(cid)
             self._open.append(cid)
-            self._emit(EventType.CAMPAIGN_BEGIN, cid, a=spec.rounds,
-                       b=spec.shards)
+            self._emit(EventType.CAMPAIGN_BEGIN, cid, a=capped.rounds,
+                       b=capped.shards)
             if telemetry.enabled():
                 _CAMPAIGNS.labels(step="submitted").inc()
             self._changed.notify_all()

@@ -16,6 +16,7 @@ same way real paths would look to a measurement probe:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -25,6 +26,7 @@ from repro.routing import (
     HopSite,
     PhysicalNetwork,
     as_path_geography,
+    path_rtt_ms,
 )
 from repro.routing.latency import (
     FIXED_LAST_MILE_MS,
@@ -131,6 +133,36 @@ PING_BYTES_PER_PACKET = 84
 PING_BYTES = 4 * PING_BYTES_PER_PACKET
 
 
+class ResolvedPath:
+    """What one ``(source AS, target address)`` pair resolves to.
+
+    ``dst_asn`` is the target's AS (``None``: unresolved), ``owner_asn``
+    the AS announcing the target address (``None`` for IXP fabric
+    addresses) and ``sites`` the hop geography (``None``: no route).
+    None of it uses randomness, so traceroute and ping share one
+    resolution per pair through the routing engine's
+    :class:`~repro.routing.PathCache`.
+    """
+
+    __slots__ = ("dst_asn", "owner_asn", "sites", "priced")
+
+    def __init__(self, dst_asn: Optional[int], owner_asn: Optional[int],
+                 sites: Optional[tuple[HopSite, ...]]) -> None:
+        self.dst_asn = dst_asn
+        self.owner_asn = owner_asn
+        self.sites = sites
+        #: ``(phys, down_cables, rtt_ms)`` of the last pricing by ping.
+        self.priced: Optional[tuple] = None
+
+
+@functools.lru_cache(maxsize=8192)
+def _loopback_offset(asn: int, iso2: str) -> int:
+    """Offset of an AS's router loopback in its first prefix, varied
+    per country so multi-PoP ASes differ.  Derived via sha256, not
+    builtin hash(), which is salted per process (PYTHONHASHSEED)."""
+    return 1 + derive_seed(asn, iso2) % 240
+
+
 class MeasurementEngine:
     """Issues simulated measurements from vantage points.
 
@@ -139,6 +171,10 @@ class MeasurementEngine:
     stream, so measurements are order-independent: a batch fanned out
     over :mod:`repro.exec` workers is byte-identical to the same batch
     run serially.
+
+    What a pair resolves to uses no randomness (:class:`ResolvedPath`),
+    so it is kept in the routing engine's path cache and shared by
+    every engine built over that routing engine.
     """
 
     def __init__(self, topo: Topology, routing: BGPRouting,
@@ -154,6 +190,8 @@ class MeasurementEngine:
         self._seed = seed if seed is not None else topo.params.seed
         #: ixp_id -> (membership size, fabric IP -> member ASN).
         self._fabric_index: dict[int, tuple[int, dict[int, int]]] = {}
+        #: Resolved paths, shared by every engine on this routing engine.
+        self._paths = routing.paths
 
     @property
     def routing(self) -> BGPRouting:
@@ -173,6 +211,9 @@ class MeasurementEngine:
         a = self._topo.as_for_ip(target_ip)
         if a is not None:
             return a.asn
+        return self._fabric_member(target_ip)
+
+    def _fabric_member(self, target_ip: int) -> Optional[int]:
         ixp = self._topo.ixp_for_ip(target_ip)
         if ixp is not None and ixp.members:
             cached = self._fabric_index.get(ixp.ixp_id)
@@ -185,29 +226,46 @@ class MeasurementEngine:
             return cached[1].get(target_ip)
         return None
 
+    def _resolve(self, src_asn: int, target_ip: int) -> ResolvedPath:
+        """The pair's :class:`ResolvedPath`: one cache lookup, and on a
+        miss one resolution that both traceroute and ping reuse."""
+        key = (src_asn, target_ip)
+        path = self._paths.get(key)
+        if path is None:
+            owner = self._topo.as_for_ip(target_ip)
+            owner_asn = owner.asn if owner is not None else None
+            dst_asn = (owner_asn if owner_asn is not None
+                       else self._fabric_member(target_ip))
+            sites = None
+            if dst_asn is not None:
+                found = as_path_geography(self._topo, self._routing,
+                                          src_asn, dst_asn)
+                sites = tuple(found) if found is not None else None
+            path = ResolvedPath(dst_asn, owner_asn, sites)
+            self._paths.put(key, path)
+        return path
+
     # ------------------------------------------------------------------
     def traceroute(self, probe: VantagePoint, target_ip: int,
                    access: Optional[AccessTech] = None
                    ) -> TracerouteResult:
         """Run one traceroute from ``probe`` toward ``target_ip``."""
-        dst_asn = self.resolve_target_asn(target_ip)
+        path = self._resolve(probe.asn, target_ip)
         result = TracerouteResult(
             probe_id=probe.probe_id, src_asn=probe.asn,
             src_country=probe.country_iso2, target_ip=target_ip,
-            dst_asn=dst_asn)
-        if dst_asn is None:
+            dst_asn=path.dst_asn)
+        if path.dst_asn is None:
             result.bytes_used = 5 * TRACEROUTE_BYTES_PER_HOP
             self._record_traceroute(result, "unresolved")
             return result
-        sites = as_path_geography(self._topo, self._routing, probe.asn,
-                                  dst_asn)
-        if sites is None:
+        if path.sites is None:
             result.bytes_used = 5 * TRACEROUTE_BYTES_PER_HOP
             self._record_traceroute(result, "unrouted")
             return result
         access = access or probe.access
         rng = self._measurement_rng("trace", probe.probe_id, target_ip)
-        self._emit_hops(result, sites, target_ip, access, rng)
+        self._emit_hops(result, path, target_ip, access, rng)
         result.bytes_used = len(result.hops) * TRACEROUTE_BYTES_PER_HOP
         self._record_traceroute(
             result, "reached" if result.reached else "incomplete")
@@ -231,9 +289,10 @@ class MeasurementEngine:
             _HOPS.inc(len(result.hops))
             _HOPS_PER_TRACE.observe(len(result.hops))
 
-    def _emit_hops(self, result: TracerouteResult,
-                   sites: Sequence[HopSite], target_ip: int,
-                   access: AccessTech, rng: random.Random) -> None:
+    def _emit_hops(self, result: TracerouteResult, path: ResolvedPath,
+                   target_ip: int, access: AccessTech,
+                   rng: random.Random) -> None:
+        sites = path.sites
         cumulative = (MOBILE_LAST_MILE_MS
                       if access is AccessTech.CELLULAR
                       else FIXED_LAST_MILE_MS)
@@ -261,8 +320,9 @@ class MeasurementEngine:
                                        site.country_iso2))
                 continue
             is_last = idx == len(sites) - 1
-            hop_ip, responds = self._hop_address(site, target_ip, is_last,
-                                                 rng)
+            hop_ip, responds = self._hop_address(
+                site, target_ip, is_last and path.owner_asn == site.asn,
+                rng)
             if not responds:
                 result.hops.append(Hop(ttl, None, None, site.asn,
                                        site.country_iso2,
@@ -277,8 +337,9 @@ class MeasurementEngine:
             if is_last:
                 result.reached = True
 
-    def _hop_address(self, site: HopSite, target_ip: int, is_last: bool,
-                     rng: random.Random) -> tuple[Optional[int], bool]:
+    def _hop_address(self, site: HopSite, target_ip: int,
+                     owns_target: bool, rng: random.Random
+                     ) -> tuple[Optional[int], bool]:
         topo = self._topo
         if site.is_ixp and site.ixp_id is not None:
             ixp = topo.ixps[site.ixp_id]
@@ -287,11 +348,9 @@ class MeasurementEngine:
             except ValueError:
                 return None, False
             return ip, rng.random() < self._model.hop_response
-        if is_last:
+        if owns_target:
             # Destination probe-response: the target address itself.
-            owner = topo.as_for_ip(target_ip)
-            if owner is not None and owner.asn == site.asn:
-                return target_ip, rng.random() < self._model.hop_response
+            return target_ip, rng.random() < self._model.hop_response
         a = topo.as_(site.asn)
         # Routers of *transit* exchange members often answer from their
         # fabric port address when it is the preferred source on the
@@ -311,13 +370,10 @@ class MeasurementEngine:
             break
         if not a.prefixes:
             return None, False
-        prefix = a.prefixes[0]
         # Deterministic router loopback: low addresses of the first
-        # prefix, varied per country so multi-PoP ASes differ.  Derived
-        # via sha256, not builtin hash(), which is salted per process
-        # (PYTHONHASHSEED) and made loopbacks differ across runs.
-        offset = 1 + (derive_seed(site.asn, site.country_iso2) % 240)
-        ip = prefix.network + offset
+        # prefix.
+        ip = a.prefixes[0].network + _loopback_offset(site.asn,
+                                                      site.country_iso2)
         return ip, rng.random() < self._model.hop_response
 
     # ------------------------------------------------------------------
@@ -332,20 +388,9 @@ class MeasurementEngine:
         if count <= 0:
             raise ValueError(f"ping count must be positive, got {count}")
         nbytes = count * PING_BYTES_PER_PACKET
-        dst_asn = self.resolve_target_asn(target_ip)
-        if dst_asn is None:
-            return self._record_ping(PingResult(
-                probe.probe_id, target_ip, count, 0, None,
-                bytes_used=nbytes))
-        sites = as_path_geography(self._topo, self._routing, probe.asn,
-                                  dst_asn)
-        if sites is None:
-            return self._record_ping(PingResult(
-                probe.probe_id, target_ip, count, 0, None,
-                bytes_used=nbytes))
-        from repro.routing import path_rtt_ms
-        base = path_rtt_ms(self._topo, self._phys, sites,
-                           down_cables=self._down)
+        path = self._resolve(probe.asn, target_ip)
+        # Unresolved and unrouted targets have no sites.
+        base = self._path_rtt(path) if path.sites is not None else None
         if base is None:
             return self._record_ping(PingResult(
                 probe.probe_id, target_ip, count, 0, None,
@@ -358,6 +403,18 @@ class MeasurementEngine:
         return self._record_ping(PingResult(
             probe.probe_id, target_ip, count, received, rtt,
             bytes_used=nbytes))
+
+    def _path_rtt(self, path: ResolvedPath) -> Optional[float]:
+        """``path_rtt_ms`` of the path over this engine's physical
+        network and cuts, reused while those stay the same."""
+        priced = path.priced
+        if priced is not None and priced[0] is self._phys \
+                and priced[1] == self._down:
+            return priced[2]
+        rtt = path_rtt_ms(self._topo, self._phys, path.sites,
+                          down_cables=self._down)
+        path.priced = (self._phys, self._down, rtt)
+        return rtt
 
     @staticmethod
     def _record_ping(result: PingResult) -> PingResult:

@@ -25,8 +25,9 @@ the equivalence oracle for tests and ``scripts/bench_routing.py``.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
-from typing import Iterable, Optional
+from typing import Any, Hashable, Iterable, Optional
 
 from repro.routing.compiled import (
     NO_ROUTE,
@@ -58,6 +59,58 @@ _PATH_LENGTH = telemetry.histogram(
 # lock-guarded child map, far too much work for a per-path call site.
 _PATH_FOUND = _PATHS_RESOLVED.labels(found="yes")
 _PATH_MISS = _PATHS_RESOLVED.labels(found="no")
+_PATH_CACHE = telemetry.counter(
+    "repro_routing_path_cache_total",
+    "Measured-path cache lookups", labels=("result",))
+_PATH_CACHE_HIT = _PATH_CACHE.labels(result="hit")
+_PATH_CACHE_MISS = _PATH_CACHE.labels(result="miss")
+
+#: Resolved measurement paths one routing engine keeps (see
+#: :class:`PathCache`).  Perfbench's campaign workload measures about
+#: 1,900 distinct (probe AS, target) pairs on one continental world.
+PATH_CACHE_SIZE = 4096
+
+
+class PathCache:
+    """Bounded map of resolved measurement paths.
+
+    :class:`~repro.measurement.MeasurementEngine` stores here what a
+    ``(source AS, target address)`` pair resolves to, so re-measuring
+    the pair (every round of a campaign, both traceroute and ping)
+    skips target resolution and the geography walk.  The values are
+    pure functions of the topology and the routing tables, so the
+    cache lives and dies with its :class:`BGPRouting` engine exactly
+    like the route tables do.
+
+    Safe for concurrent use without holding a lock during a
+    computation: readers never lock, and two threads that miss on one
+    key both compute it and store equal values.  A short lock guards
+    only the insert and the eviction of the oldest entry when
+    ``maxsize`` is reached.
+    """
+
+    def __init__(self, maxsize: int = PATH_CACHE_SIZE) -> None:
+        self.maxsize = max(1, maxsize)
+        self._entries: dict[Hashable, Any] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The cached value, or ``None``."""
+        value = self._entries.get(key)
+        if telemetry.enabled():
+            (_PATH_CACHE_MISS if value is None else _PATH_CACHE_HIT).inc()
+        return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            entries = self._entries
+            if key not in entries:
+                while entries and len(entries) >= self.maxsize:
+                    del entries[next(iter(entries))]  # oldest first
+            entries[key] = value
 
 
 class BGPRouting:
@@ -77,6 +130,8 @@ class BGPRouting:
         self._compiled = (CompiledTopology(topo, link_filter)
                           if self._filtered else CompiledTopology.of(topo))
         self._tables: dict[int, RouteTable] = {}
+        #: Resolved measurement paths over this engine's tables.
+        self.paths = PathCache()
 
     @property
     def compiled(self) -> CompiledTopology:

@@ -61,14 +61,17 @@ class PhysicalRoute:
     dst: str
     edges: tuple[PhysicalEdge, ...]
     rtt_ms: float
+    #: Whether any edge is the satellite fallback.  Set once here:
+    #: traceroute synthesis reads it on every country change.
+    uses_satellite: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uses_satellite", any(
+            e.medium == "satellite" for e in self.edges))
 
     @property
     def cables_used(self) -> set[int]:
         return {e.carrier_id for e in self.edges if e.medium == "cable"}
-
-    @property
-    def uses_satellite(self) -> bool:
-        return any(e.medium == "satellite" for e in self.edges)
 
     @property
     def bottleneck_tbps(self) -> float:

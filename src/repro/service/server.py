@@ -461,8 +461,7 @@ class ObservatoryService:
                     endpoint, key, seed, params, strict=False)
             except Exception as exc:  # noqa: BLE001 - degrade, not 500
                 return self._degraded_response(
-                    endpoint, key, seed,
-                    f"compute failed: {exc}")
+                    endpoint, key, seed, "compute-failed", str(exc))
             out = {"X-Repro-Cache": "miss", "X-Repro-Source": "compute",
                    "X-Repro-Key": key.digest}
             if degraded is not None:
@@ -489,9 +488,9 @@ class ObservatoryService:
         if wait:
             self.queue.wait(job.job_id, timeout=MAX_WAIT_S)
             if job.state in (JobState.FAILED, JobState.CANCELLED):
+                # The traceback stays in the /v1/jobs/<id> document.
                 return self._degraded_response(
-                    endpoint, key, seed,
-                    f"job {job.state.value}: {job.error}")
+                    endpoint, key, seed, f"job-{job.state.value}")
             payload = self.store.get(key)
             from_store = durable = payload is not None
             if payload is None:  # evicted between job end and read
@@ -501,8 +500,7 @@ class ObservatoryService:
                     durable = degraded is None
                 except Exception as exc:  # noqa: BLE001
                     return self._degraded_response(
-                        endpoint, key, seed,
-                        f"recompute failed: {exc}")
+                        endpoint, key, seed, "recompute-failed", str(exc))
             out = {"X-Repro-Cache": "miss", "X-Repro-Source": "compute",
                    "X-Repro-Key": key.digest}
             etag = self._etag_for(payload)
@@ -671,14 +669,17 @@ class ObservatoryService:
             return payload, "store-write-failed"
         return payload, None
 
-    def _degraded_response(self, endpoint, key, seed: int,
-                           reason: str) -> Response:
+    def _degraded_response(self, endpoint, key, seed: int, reason: str,
+                           detail: Optional[str] = None) -> Response:
         """Recompute failed: serve stale bytes if any exist, else 503.
 
         Degraded responses always carry ``X-Repro-Degraded`` — the
         chaos smoke's invariant is "no 5xx without that header", and a
         stale 200 additionally names the substitute artifact in
-        ``X-Repro-Stale-Key``.
+        ``X-Repro-Stale-Key``.  ``reason`` is a one-line token
+        (``compute-failed``, ``job-failed``, ...): error text such as
+        a traceback would break the header block, so it goes only into
+        a 503's JSON body as ``detail``.
         """
         stale = self._stale_entry(endpoint, seed)
         mode = "stale" if stale is not None else "unavailable"
@@ -694,9 +695,10 @@ class ObservatoryService:
                              "X-Repro-Key": key.digest,
                              "X-Repro-Stale-Key": digest,
                              "X-Repro-Degraded": reason})
-        return Response(503, canonical_bytes(
-            {"error": reason, "status": 503,
-             "endpoint": endpoint.name}),
+        body = {"error": reason, "status": 503, "endpoint": endpoint.name}
+        if detail is not None:
+            body["detail"] = detail
+        return Response(503, canonical_bytes(body),
             {"X-Repro-Degraded": reason, "Retry-After": "1"})
 
     def _stale_entry(self, endpoint, seed: int

@@ -20,6 +20,21 @@ into ``<root>/quarantine/`` (and counted by
 forensics instead of vanishing.  Recency is tracked through payload
 mtimes (bumped on every hit), giving LRU eviction that survives
 process restarts without a separate index.
+
+Puts do not rescan the store.  Each :class:`ArtifactStore` keeps a
+running total: the payload bytes its last scan counted, plus the bytes
+it wrote since (an overwrite replaces the old size).  A put scans only
+on the object's first put, or when the running total exceeds
+``max_bytes``; the scan is one ``stat`` per payload, with no meta
+reads, and it evicts least-recently-used entries down to the cap and
+resets the total.  ``gc``, ``clear``, ``verify`` and ``total_bytes``
+always scan and reset it too.
+
+Several writers on one root (processes, or several objects in one
+process) each count only their own bytes since their own last scan.
+The store can therefore grow past its cap until one writer's running
+total crosses it; that writer's scan then sees every writer's bytes
+and trims the store back to the cap.
 """
 
 from __future__ import annotations
@@ -111,6 +126,9 @@ class ArtifactStore:
         self._tmp.mkdir(parents=True, exist_ok=True)
         self._quarantine_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: Payload bytes at the last scan plus bytes written since;
+        #: ``None`` until the first scan.
+        self._running: Optional[int] = None
         self.hits = 0
         self.misses = 0
         #: Callbacks fired (outside the lock) with each key digest the
@@ -196,12 +214,17 @@ class ArtifactStore:
         with self._lock:
             payload_path = self._payload_path(key_digest)
             payload_path.parent.mkdir(parents=True, exist_ok=True)
+            replaced = (self._size_on_disk(payload_path)
+                        if self._running is not None else 0)
             self._atomic_write(payload_path, written)
             self._atomic_write(
                 self._meta_path(key_digest),
                 json.dumps(meta, sort_keys=True).encode())
-            self._evict_over_cap()
-            size = self._total_bytes()
+            if self._running is not None:
+                self._running += len(written) - replaced
+            if self._running is None or self._running > self.max_bytes:
+                self._evict_over_cap()
+            size = self._running
         self._flush_invalidations()
         if telemetry.enabled():
             _WRITES.labels(kind=key.kind).inc()
@@ -243,15 +266,16 @@ class ArtifactStore:
         return sorted(out, key=lambda e: -e.last_used)
 
     def total_bytes(self) -> int:
+        """Payload bytes on disk (scans, and resets the running total)."""
         with self._lock:
-            return self._total_bytes()
+            return self._recount()
 
     def gc(self, max_bytes: Optional[int] = None) -> list[StoreEntry]:
         """Evict least-recently-used artifacts down to the cap."""
         with self._lock:
             evicted = self._evict_over_cap(
                 self.max_bytes if max_bytes is None else int(max_bytes))
-            size = self._total_bytes()
+            size = self._running
         self._flush_invalidations()
         if telemetry.enabled():
             _BYTES.set(size)
@@ -261,6 +285,7 @@ class ArtifactStore:
         """Re-hash every payload; report (but keep) violations."""
         problems: list[StoreProblem] = []
         with self._lock:
+            self._recount()
             for meta_path in self._objects.glob("*/*.meta.json"):
                 key_digest = meta_path.name[:-len(".meta.json")]
                 try:
@@ -301,8 +326,9 @@ class ArtifactStore:
     def clear(self) -> None:
         """Drop every artifact (testing / ``gc --all``)."""
         with self._lock:
-            for entry in list(self._iter_entries()):
-                self._remove(entry.key_digest)
+            for _, key_digest, _ in self._scan():
+                self._remove(key_digest)
+            self._running = 0
         self._flush_invalidations()
         if telemetry.enabled():
             _BYTES.set(0)
@@ -358,23 +384,67 @@ class ArtifactStore:
             content_digest=meta["content_digest"],
             size_bytes=size, last_used=mtime)
 
-    def _total_bytes(self) -> int:
-        return sum(p.stat().st_size
-                   for p in self._objects.glob("*/*.bin"))
+    @staticmethod
+    def _size_on_disk(path: pathlib.Path) -> int:
+        try:
+            return path.stat().st_size
+        except OSError:
+            return 0
+
+    def _scan(self) -> list[tuple[float, str, int]]:
+        """``(mtime, key digest, size)`` of every payload, oldest
+        first: one ``stat`` per payload and no meta reads."""
+        found: list[tuple[float, str, int]] = []
+        try:
+            shards = os.scandir(self._objects)
+        except FileNotFoundError:
+            return found
+        with shards:
+            for shard in shards:
+                if not shard.is_dir():
+                    continue
+                with os.scandir(shard.path) as files:
+                    for f in files:
+                        if not f.name.endswith(".bin"):
+                            continue
+                        try:
+                            st = f.stat()
+                        except OSError:  # removed since the listing
+                            continue
+                        found.append((st.st_mtime, f.name[:-len(".bin")],
+                                      st.st_size))
+        found.sort()
+        return found
+
+    def _recount(self) -> int:
+        """Scan and reset the running total to the bytes found."""
+        self._running = sum(size for _, _, size in self._scan())
+        return self._running
 
     def _evict_over_cap(self, max_bytes: Optional[int] = None
                         ) -> list[StoreEntry]:
+        """Scan, evict least-recently-used payloads down to the cap,
+        and reset the running total.  Returns the evicted entries
+        whose meta was readable."""
         cap = self.max_bytes if max_bytes is None else max_bytes
-        entries = sorted(self._iter_entries(), key=lambda e: e.last_used)
-        total = sum(e.size_bytes for e in entries)
+        found = self._scan()
+        total = sum(size for _, _, size in found)
         evicted: list[StoreEntry] = []
-        while entries and total > cap:
-            victim = entries.pop(0)
-            self._remove(victim.key_digest)
-            total -= victim.size_bytes
-            evicted.append(victim)
+        for mtime, key_digest, size in found:
+            if total <= cap:
+                break
+            try:
+                meta = json.loads(self._meta_path(key_digest).read_bytes())
+                evicted.append(self._entry_from_meta(
+                    meta, self._payload_path(key_digest), mtime=mtime,
+                    size=size))
+            except (OSError, ValueError, KeyError):
+                pass  # orphan payload: garbage, evicted all the same
+            self._remove(key_digest)
+            total -= size
             if telemetry.enabled():
                 _EVICTIONS.inc()
+        self._running = total
         return evicted
 
     def _remove(self, key_digest: str) -> None:
@@ -389,6 +459,7 @@ class ArtifactStore:
     def _quarantine(self, key_digest: str) -> None:
         """Move a corrupt entry aside instead of destroying evidence."""
         self._quarantine_dir.mkdir(parents=True, exist_ok=True)
+        size = self._size_on_disk(self._payload_path(key_digest))
         moved = False
         for path in (self._meta_path(key_digest),
                      self._payload_path(key_digest)):
@@ -398,6 +469,8 @@ class ArtifactStore:
             except OSError:
                 pass
         if moved:
+            if self._running is not None:
+                self._running -= size
             self._invalidated(key_digest)
             if telemetry.enabled():
                 _QUARANTINED.inc()

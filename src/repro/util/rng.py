@@ -14,13 +14,12 @@ import random
 
 
 def derive_seed(seed: int, *names: str) -> int:
-    """Derive a child seed from ``seed`` and a path of component names."""
-    h = hashlib.sha256()
-    h.update(str(int(seed)).encode("ascii"))
-    for name in names:
-        h.update(b"/")
-        h.update(name.encode("utf-8"))
-    return int.from_bytes(h.digest()[:8], "big")
+    """Derive a child seed from ``seed`` and a path of component names.
+
+    The digest covers ``"<seed>/<name>/<name>..."`` as UTF-8, hashed in
+    one call."""
+    path = "/".join((str(int(seed)), *names)).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(path).digest()[:8], "big")
 
 
 def derive_rng(seed: int, *names: str) -> random.Random:

@@ -606,6 +606,30 @@ class TestMessageLoss:
 
 
 # ----------------------------------------------------------------------
+# Idempotency when shards exceed the plan
+# ----------------------------------------------------------------------
+class TestOversizedShards:
+    def test_resubmitting_an_oversized_spec_returns_one_campaign(self):
+        spec = CampaignSpec(seed=SEED, scale=0.1, rounds=1, shards=10000,
+                            probes_per_shard=2, targets_per_probe=2)
+        coord = FleetCoordinator()
+        cid = coord.submit_campaign(spec)
+        assert coord.submit_campaign(spec) == cid
+        assert [c["campaign_id"] for c in coord.status()["campaigns"]] \
+            == [cid]
+        capped = coord.campaign(cid).spec
+        assert capped.shards < spec.shards
+        pairs = spawn_local_agents(coord, 2)
+        merged = coord.wait(cid, timeout=120.0)
+        coord.drain()
+        for thread, _ in pairs:
+            thread.join(timeout=30.0)
+        assert merged is not None
+        assert merged_digest(merged) == \
+            merged_digest(run_campaign_serial(capped))
+
+
+# ----------------------------------------------------------------------
 # Artifact store + event trail integration
 # ----------------------------------------------------------------------
 class TestIntegration:

@@ -246,3 +246,187 @@ class TestResponsiveness:
         model = DEFAULT_RESPONSE_MODEL
         for a in topo.african_ases()[:20]:
             assert model.harvested(topo, a.asn) > model.random(topo, a.asn)
+
+
+class TestPathCache:
+    """traceroute and ping resolve each (probe AS, target) pair once,
+    through the routing engine's ``PathCache``; every result must equal
+    what an engine with a cold cache measures."""
+
+    @staticmethod
+    def _targets(topo, atlas):
+        african = [p for p in atlas.probes if p.region.is_african]
+        targets = [probe_target_ip(topo, p) for p in african[-6:]]
+        ixp = max(topo.ixps.values(), key=lambda x: len(x.members))
+        assigned = {ixp.lan_ip_for(m) for m in ixp.members}
+        free = next(ip for ip in range(ixp.lan_prefix.network + 1,
+                                       ixp.lan_prefix.network
+                                       + ixp.lan_prefix.size - 1)
+                    if ip not in assigned)
+        targets += [
+            ixp.lan_ip_for(min(ixp.members)),         # IXP-LAN member
+            free,                                     # unresolved fabric
+            Prefix.parse("240.0.0.0/24").network,     # unresolved
+        ]
+        return african[:5], targets
+
+    @staticmethod
+    def _measure(engine, probes, targets):
+        return [(engine.traceroute(p, t), engine.ping(p, t, count=6))
+                for p in probes for t in targets]
+
+    @staticmethod
+    def _cold(topo, phys, routing=None, **kwargs):
+        from repro.routing import BGPRouting
+        return MeasurementEngine(topo, routing or BGPRouting(topo), phys,
+                                 **kwargs)
+
+    def test_cached_results_equal_a_cold_engine(self, topo, phys, atlas):
+        from repro.routing import BGPRouting
+        probes, targets = self._targets(topo, atlas)
+        shared = BGPRouting(topo)
+        engine = MeasurementEngine(topo, shared, phys)
+        first = self._measure(engine, probes, targets)
+        assert len(shared.paths) == len({(p.asn, t) for p in probes
+                                         for t in targets})
+        # A second engine over the same routing is served from cache.
+        again = self._measure(MeasurementEngine(topo, shared, phys),
+                              probes, targets)
+        cold = self._measure(self._cold(topo, phys), probes, targets)
+        assert first == cold
+        assert again == cold
+        outcomes = {(tr.dst_asn is None, tr.reached) for tr, _ in cold}
+        assert (True, False) in outcomes and (False, True) in outcomes
+
+    def test_unrouted_target_is_cached_as_unrouted(self, topo, phys,
+                                                   atlas):
+        from repro.routing import BGPRouting
+        probes, targets = self._targets(topo, atlas)
+        isolated = topo.as_for_ip(targets[0]).asn
+        cut_off = BGPRouting(topo, link_filter=lambda link:
+                             isolated not in (link.a, link.b))
+        engine = MeasurementEngine(topo, cut_off, phys)
+        first = self._measure(engine, probes, targets[:1])
+        again = self._measure(engine, probes, targets[:1])
+        cold = self._measure(
+            self._cold(topo, phys, BGPRouting(
+                topo, link_filter=lambda link:
+                isolated not in (link.a, link.b))),
+            probes, targets[:1])
+        assert first == again == cold
+        for trace, ping in cold:
+            if trace.src_asn != isolated:
+                assert trace.dst_asn == isolated and not trace.hops
+                assert ping.received == 0
+
+    def test_down_cables_share_the_cache_but_not_the_price(self, topo,
+                                                           phys, atlas):
+        from repro.outages import march_2024_scenario
+        from repro.routing import BGPRouting
+        west, _ = march_2024_scenario(topo)
+        probes, targets = self._targets(topo, atlas)
+        shared = BGPRouting(topo)
+        intact = MeasurementEngine(topo, shared, phys)
+        cut = MeasurementEngine(topo, shared, phys, down_cables=west)
+        # Interleave, so each pair is priced under both cuts in turn.
+        for _ in range(2):
+            assert self._measure(intact, probes, targets) == \
+                self._measure(self._cold(topo, phys), probes, targets)
+            assert self._measure(cut, probes, targets) == \
+                self._measure(self._cold(topo, phys, down_cables=west),
+                              probes, targets)
+
+    def test_repeating_a_pair_resolves_no_further_paths(self, topo, phys,
+                                                        atlas,
+                                                        monkeypatch):
+        from repro.measurement import traceroute as module
+        from repro.routing import BGPRouting
+        calls = []
+        original = module.as_path_geography
+
+        def counting(*args, **kwargs):
+            calls.append(args[2:4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "as_path_geography", counting)
+        probes, targets = self._targets(topo, atlas)
+        shared = BGPRouting(topo)
+        probe, target = probes[0], targets[0]
+        engine = MeasurementEngine(topo, shared, phys, seed=1)
+        engine.traceroute(probe, target)
+        engine.ping(probe, target)
+        assert len(calls) == 1
+        for seed in (1, 2, 3):  # a fresh engine per round, as the fleet
+            engine = MeasurementEngine(topo, shared, phys, seed=seed)
+            engine.traceroute(probe, target)
+            engine.ping(probe, target)
+        assert len(calls) == 1
+
+    def test_lookups_feed_the_hit_and_miss_counters(self, topo, phys,
+                                                    atlas):
+        from repro import telemetry
+        from repro.routing import BGPRouting
+        probes, targets = self._targets(topo, atlas)
+        metric = telemetry.REGISTRY.get("repro_routing_path_cache_total")
+        hit, miss = (metric.labels(result=r) for r in ("hit", "miss"))
+        was = telemetry.enabled()
+        telemetry.enable()
+        try:
+            before = (hit.value, miss.value)
+            engine = MeasurementEngine(topo, BGPRouting(topo), phys)
+            engine.traceroute(probes[0], targets[0])
+            engine.ping(probes[0], targets[0])
+            assert (hit.value - before[0], miss.value - before[1]) == (1, 1)
+        finally:
+            if not was:
+                telemetry.disable()
+
+    def test_cache_never_grows_past_its_bound(self, topo, phys, atlas):
+        from repro.routing import BGPRouting
+        probes, targets = self._targets(topo, atlas)
+        shared = BGPRouting(topo)
+        shared.paths.maxsize = 7
+        engine = MeasurementEngine(topo, shared, phys)
+        measured = []
+        for probe in probes:
+            for target in targets:
+                measured.append((engine.traceroute(probe, target),
+                                 engine.ping(probe, target, count=6)))
+                assert len(shared.paths) <= 7
+        assert len(shared.paths) == 7
+        assert measured == self._measure(self._cold(topo, phys), probes,
+                                         targets)
+        # Re-measuring evicted pairs resolves them again, identically.
+        assert self._measure(engine, probes, targets) == measured
+
+    def test_concurrent_engines_share_one_cache(self, topo, phys, atlas):
+        import sys
+        import threading
+        from repro.routing import BGPRouting
+        probes, targets = self._targets(topo, atlas)
+        want = self._measure(self._cold(topo, phys), probes, targets)
+        shared = BGPRouting(topo)
+        shared.paths.maxsize = 5      # evict under contention too
+        errors: list = []
+
+        def work() -> None:
+            try:
+                engine = MeasurementEngine(topo, shared, phys)
+                for _ in range(3):
+                    assert self._measure(engine, probes, targets) == want
+                    assert len(shared.paths) <= 5
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -11,6 +11,8 @@ the shared :meth:`ObservatoryService.dispatch` handler core.
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -750,3 +752,103 @@ class TestFleetRoutes:
             httpd.shutdown()
             httpd.server_close()
             service.queue.shutdown()
+
+
+# ----------------------------------------------------------------------
+#: One header line: a field-name token, ": ", then no CR or LF.
+_HEADER_LINE = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+: [^\r\n]*")
+
+
+def _raw_get(base: str, path: str) -> tuple[list[bytes], bytes]:
+    """GET over a bare socket: the head's lines (split on CRLF only, so
+    a bare LF inside a header stays visible) and the body."""
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=120) as sock:
+        sock.sendall(f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Connection: close\r\n\r\n".encode())
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed inside the head"
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        length = next(int(line.split(b":", 1)[1]) for line in lines
+                      if line.lower().startswith(b"content-length:"))
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed inside the body"
+            body += chunk
+    return lines, body
+
+
+class TestDegradedHeader:
+    """A failed job's reason reaches ``X-Repro-Degraded`` as a one-line
+    token, on both transports; the traceback stays in the job
+    document."""
+
+    @pytest.fixture(params=["threaded", "async"])
+    def failing(self, request, tmp_path):
+        from repro import faults
+
+        store = ArtifactStore(root=tmp_path / "store")
+        if request.param == "threaded":
+            httpd, service = create_server(port=0, store=store,
+                                           job_workers=1, job_retries=0,
+                                           default_seed=SEED)
+            thread = threading.Thread(target=httpd.serve_forever,
+                                      daemon=True)
+            thread.start()
+            base = f"http://127.0.0.1:{httpd.server_address[1]}"
+            stop = (httpd.shutdown, httpd.server_close)
+        else:
+            service = create_service(store=store, job_workers=1,
+                                     job_retries=0, default_seed=SEED)
+            runner = AsyncServerThread(service)
+            host, port = runner.start()
+            base = f"http://{host}:{port}"
+            stop = (runner.stop,)
+        faults.configure("seed=1,jobs.error=1")
+        try:
+            yield base, service
+        finally:
+            faults.configure(None)
+            for fn in stop:
+                fn()
+            service.queue.shutdown()
+
+    def test_failed_job_header_is_one_line(self, failing):
+        base, _ = failing
+        lines, body = _raw_get(base, f"/v1/coverage?seed={SEED}&wait=1")
+        assert lines[0].startswith(b"HTTP/1.1 503 ")
+        for line in lines[1:]:
+            assert _HEADER_LINE.fullmatch(line), line
+        headers = dict(line.decode().split(": ", 1) for line in lines[1:])
+        assert headers["X-Repro-Degraded"] == "job-failed"
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)["error"] == "job-failed"
+
+        job_id = ENDPOINTS["coverage"].key(SEED, {}).digest
+        _, _, doc = _get(base, f"/v1/jobs/{job_id}")
+        doc = json.loads(doc)
+        assert doc["state"] == "failed"
+        assert "Traceback (most recent call last)" in doc["error"]
+        assert "\n" in doc["error"]
+
+    def test_compute_error_text_stays_in_the_body(self, tmp_path,
+                                                  monkeypatch):
+        service = create_service(
+            store=ArtifactStore(root=tmp_path / "store"), job_workers=1,
+            default_seed=SEED)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("line one\nline two")
+
+        monkeypatch.setattr(service, "_compute_and_store", fail)
+        try:
+            response = service.handle(f"/v1/summary?seed={SEED}")
+        finally:
+            service.queue.shutdown()
+        assert response.status == 503
+        assert response.headers["X-Repro-Degraded"] == "compute-failed"
+        assert json.loads(response.body)["detail"] == "line one\nline two"

@@ -189,6 +189,143 @@ class TestEviction:
 
 
 # ----------------------------------------------------------------------
+class TestRunningTotal:
+    """Puts keep a running byte total instead of rescanning the store:
+    they scan only on an object's first put or once the total crosses
+    the cap."""
+
+    @staticmethod
+    def _count_scans(store, monkeypatch) -> list:
+        scans: list = []
+        original = store._scan
+
+        def counting():
+            scans.append(1)
+            return original()
+
+        monkeypatch.setattr(store, "_scan", counting)
+        return scans
+
+    def test_put_below_the_cap_does_not_scan(self, tmp_path, monkeypatch):
+        store = ArtifactStore(root=tmp_path, max_bytes=10_000)
+        scans = self._count_scans(store, monkeypatch)
+        store.put(_key(i=0), b"a" * 100)      # first put: one scan
+        assert len(scans) == 1
+        for i in range(1, 40):
+            store.put(_key(i=i), b"b" * 100)
+        store.put(_key(i=3), b"c" * 200)      # overwrite
+        assert len(scans) == 1
+        assert store.total_bytes() == 40 * 100 + 100
+        assert len(scans) == 2
+
+    def test_crossing_the_cap_evicts_lru_and_fires_hooks(self, tmp_path,
+                                                         monkeypatch):
+        store = ArtifactStore(root=tmp_path, max_bytes=350)
+        dropped: list[str] = []
+        store.add_invalidation_hook(dropped.append)
+        keys = [_key(i=i) for i in range(5)]
+        for age, key in enumerate(keys[:3]):
+            store.put(key, b"x" * 100)
+            os.utime(store._payload_path(key.digest),
+                     (1_000_000 + age, 1_000_000 + age))
+        scans = self._count_scans(store, monkeypatch)
+        store.put(keys[3], b"x" * 100)        # 400 > 350: scan, evict
+        assert len(scans) == 1
+        assert dropped == [keys[0].digest]
+        store.put(keys[4], b"x" * 100)        # 400 again: evict keys[1]
+        assert dropped == [keys[0].digest, keys[1].digest]
+        assert store.get(keys[0]) is None and store.get(keys[1]) is None
+        assert all(store.get(k) is not None for k in keys[2:])
+        assert store.total_bytes() == 300
+
+    def test_total_and_gauge_stay_exact(self, tmp_path):
+        from repro import telemetry
+        gauge = telemetry.REGISTRY.get("repro_store_bytes")
+        was = telemetry.enabled()
+        telemetry.enable()
+        try:
+            store = ArtifactStore(root=tmp_path, max_bytes=10_000)
+
+            def exact(expected: int) -> None:
+                assert gauge.value == expected
+                assert store.total_bytes() == expected
+
+            store.put(_key(i=0), b"a" * 100)
+            store.put(_key(i=1), b"b" * 50)
+            exact(150)
+            store.put(_key(i=0), b"c" * 30)   # overwrite replaces size
+            exact(80)
+            store.put(_key(i=0), b"d" * 30)
+            exact(80)
+            os.utime(store._payload_path(_key(i=1).digest),
+                     (1_000_000, 1_000_000))
+            assert [e.params for e in store.gc(max_bytes=40)] \
+                == [{"i": 1}]
+            assert gauge.value == 30
+            store.put(_key(i=2), b"e" * 20)
+            exact(50)
+            store.clear()
+            exact(0)
+            store.put(_key(i=3), b"f" * 7)
+            exact(7)
+        finally:
+            if not was:
+                telemetry.disable()
+
+    def test_concurrent_puts_keep_the_total_exact(self, tmp_path):
+        import sys
+        import threading
+        from repro import telemetry
+        store = ArtifactStore(root=tmp_path, max_bytes=10_000_000)
+        errors: list = []
+
+        def work(w: int) -> None:
+            try:
+                for i in range(60):   # overwrites with changing sizes
+                    store.put(_key(i=i % 10), bytes(1 + (w * 7 + i) % 50))
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        gauge = telemetry.REGISTRY.get("repro_store_bytes")
+        was = telemetry.enabled()
+        telemetry.enable()
+        try:
+            store.put(_key(i=99), b"z")   # publishes the running total
+            assert gauge.value == ArtifactStore(root=tmp_path).total_bytes()
+        finally:
+            if not was:
+                telemetry.disable()
+
+    def test_two_writers_trim_once_either_crosses_the_cap(self, tmp_path):
+        a = ArtifactStore(root=tmp_path, max_bytes=1_000)
+        b = ArtifactStore(root=tmp_path, max_bytes=1_000)
+        observer = ArtifactStore(root=tmp_path)
+        # Each writer counts its own bytes since its first put's scan:
+        # a from 100, b from 200 (its scan also saw a's first entry).
+        for i in range(9):
+            a.put(_key(w="a", i=i), b"a" * 100)
+            b.put(_key(w="b", i=i), b"b" * 100)
+        assert observer.total_bytes() == 1_800   # over cap, untrimmed
+        a.put(_key(w="a", i=9), b"a" * 100)       # a: 1,000, not over
+        assert observer.total_bytes() == 1_900
+        b.put(_key(w="b", i=9), b"b" * 100)       # b: 1,100, crosses
+        assert observer.total_bytes() == 1_000
+
+
+# ----------------------------------------------------------------------
 class TestAtomicity:
     def test_no_partial_files_outside_tmp(self, store):
         for i in range(5):
