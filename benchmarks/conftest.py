@@ -14,8 +14,8 @@ machine-readable perf baseline future PRs diff against — see
 
 Pass ``--workers N`` to fan measurement batches out over N processes
 (0 = one per core).  Results are byte-identical for any N — see
-``docs/performance.md`` and ``scripts/bench_parallel.py``, which
-records the serial/parallel diff in ``benchmarks/BENCH_parallel.json``.
+``docs/performance.md`` and ``scripts/micro.py``, which records the
+serial/parallel fingerprints in ``benchmarks/BENCH_micro.json``.
 """
 
 from __future__ import annotations

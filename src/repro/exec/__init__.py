@@ -30,7 +30,6 @@ from repro.exec.pool import (
     DEFAULT_TIMEOUT_S,
     MIN_CHUNKSIZE,
     TransientTaskError,
-    WorkerPool,
     chunk_plan,
     current_payload,
     current_shared,
@@ -55,7 +54,7 @@ __all__ = [
     "precompute_for", "routing_for",
     "DEFAULT_RETRIES", "DEFAULT_TIMEOUT_S", "MIN_CHUNKSIZE",
     "TransientTaskError",
-    "WorkerPool", "chunk_plan", "current_payload", "current_shared",
+    "chunk_plan", "current_payload", "current_shared",
     "fork_available",
     "get_default_workers", "in_worker", "map_tasks", "resolve_workers",
     "set_default_workers", "suggested_workers",

@@ -29,10 +29,13 @@ Every batch is *supervised* (see docs/robustness.md):
   the batch loudly.
 
 Large read-only state (the topology, a measurement engine) is passed as
-the *payload*: it is published to a module global before the pool forks,
-so children inherit it through copy-on-write memory instead of pickling
-it per task.  Task items and results still cross process boundaries and
-must be picklable — unless the batch carries a ``shared`` channel
+the *payload*: the serial path reads it from a context variable that
+:func:`map_tasks` sets for the duration of the call, and a forked pool
+hands it to its workers as initializer arguments, so children inherit
+it through copy-on-write memory instead of pickling it per task.  Two
+threads mapping concurrently (the service's job workers) each see only
+their own batch.  Task items and results still cross process boundaries
+and must be picklable — unless the batch carries a ``shared`` channel
 (:mod:`repro.exec.shm`): a shared-memory block published the same way,
 into which workers write result columns in place so only slot indexes
 come back over the result pipe.  Telemetry incremented inside workers
@@ -43,6 +46,7 @@ recoveries.
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import os
 import time
@@ -98,11 +102,12 @@ _RECOVERIES_BY_REASON = {
 
 #: Session-wide default worker count (set by ``--workers`` flags).
 _DEFAULT_WORKERS = 1
-#: Fork-inherited read-only payload for the current batch.
-_PAYLOAD: Any = None
-#: Fork-inherited shared-memory channel for the current batch (an
-#: object workers *write* to — slot-disjoint, so no coordination).
-_SHARED: Any = None
+#: ``(payload, shared)`` of the batch being mapped in this thread: the
+#: read-only payload and the shared-memory channel workers *write* to
+#: (slot-disjoint, so no coordination).  A pool worker holds its
+#: batch's pair for its whole life.
+_BATCH: contextvars.ContextVar[tuple[Any, Any]] = contextvars.ContextVar(
+    "repro_exec_batch", default=(None, None))
 #: True inside a pool worker — forces nested fan-out to run serially.
 _IN_WORKER = False
 
@@ -145,7 +150,7 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 def current_payload() -> Any:
     """The payload of the batch currently being mapped (or ``None``)."""
-    return _PAYLOAD
+    return _BATCH.get()[0]
 
 
 def current_shared() -> Any:
@@ -155,7 +160,7 @@ def current_shared() -> Any:
     serial / recovery paths, where the parent writes its own blocks
     directly — task functions never need to know which one they are on.
     """
-    return _SHARED
+    return _BATCH.get()[1]
 
 
 def in_worker() -> bool:
@@ -163,9 +168,11 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def _mark_worker() -> None:  # pragma: no cover - runs in children
+def _init_worker(payload: Any,
+                 shared: Any) -> None:  # pragma: no cover - children
     global _IN_WORKER
     _IN_WORKER = True
+    _BATCH.set((payload, shared))
 
 
 def _ident(item: Any) -> str:
@@ -245,8 +252,11 @@ def chunk_plan(n_items: int, n_workers: int) -> int:
 
 def _run_supervised(fn: Callable[[T], R], items: list[T],
                     n_workers: int, timeout: Optional[float],
-                    retries: int) -> list[R]:
-    """The parallel path: chunked fan-out with crash/hang recovery."""
+                    retries: int, batch: tuple[Any, Any]) -> list[R]:
+    """The parallel path: chunked fan-out with crash/hang recovery.
+
+    ``batch`` is the ``(payload, shared)`` pair; with the fork context
+    the initializer arguments are inherited, never pickled."""
     indexed = list(enumerate(items))
     chunksize = chunk_plan(len(items), n_workers)
     chunks = [indexed[i:i + chunksize]
@@ -258,7 +268,7 @@ def _run_supervised(fn: Callable[[T], R], items: list[T],
     ctx = multiprocessing.get_context("fork")
     executor = ProcessPoolExecutor(
         max_workers=min(n_workers, len(chunks)), mp_context=ctx,
-        initializer=_mark_worker)
+        initializer=_init_worker, initargs=batch)
     futures: dict[Future, int] = {
         executor.submit(_invoke_chunk, (fn, chunk, retries)): ci
         for ci, chunk in enumerate(chunks)}
@@ -347,7 +357,6 @@ def map_tasks(fn: Callable[[T], R], items: Sequence[T],
     chunks in the parent.  The caller keeps ownership: create it
     before, harvest and close it after (in ``finally``).
     """
-    global _PAYLOAD, _SHARED
     items = list(items)
     if not items:
         return []
@@ -361,10 +370,7 @@ def map_tasks(fn: Callable[[T], R], items: Sequence[T],
     if telemetry.enabled():
         metrics.batches.inc()
         metrics.tasks.inc(len(items))
-    previous = _PAYLOAD
-    previous_shared = _SHARED
-    _PAYLOAD = payload
-    _SHARED = shared
+    token = _BATCH.set((payload, shared))
     try:
         with telemetry.span(f"exec.{label}", mode=mode,
                             workers=n_workers, tasks=len(items)):
@@ -378,8 +384,8 @@ def map_tasks(fn: Callable[[T], R], items: Sequence[T],
                 if telemetry.enabled() and retries_used:
                     metrics.retries.inc(retries_used)
             else:
-                out = _run_supervised(fn, items, n_workers,
-                                      timeout, retries)
+                out = _run_supervised(fn, items, n_workers, timeout,
+                                      retries, (payload, shared))
     except Exception:
         if telemetry.enabled():
             metrics.failures.inc()
@@ -389,32 +395,7 @@ def map_tasks(fn: Callable[[T], R], items: Sequence[T],
             metrics.completed.inc(len(out))
         return out
     finally:
-        _PAYLOAD = previous
-        _SHARED = previous_shared
-
-
-class WorkerPool:
-    """A reusable handle carrying a worker count.
-
-    Thin convenience over :func:`map_tasks` for call sites that thread
-    one pool through several fan-out stages::
-
-        pool = WorkerPool(workers=4)
-        tables = pool.map(_table_task, dests, payload=routing)
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = resolve_workers(workers)
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers > 1
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T],
-            payload: Any = None, label: str = "batch",
-            shared: Any = None) -> list[R]:
-        return map_tasks(fn, items, workers=self.workers,
-                         payload=payload, label=label, shared=shared)
+        _BATCH.reset(token)
 
 
 def suggested_workers() -> int:

@@ -250,6 +250,13 @@ class FleetCoordinator:
                 self._gauge_agents()
         return agent
 
+    def _open_campaign_for(self, spec: CampaignSpec) -> Optional[str]:
+        """Id of the open campaign submitted as ``spec``, if any."""
+        for cid in self._open:
+            if self._campaigns[cid].submitted == spec:
+                return cid
+        return None
+
     def _finish(self, c: Campaign) -> None:
         """Merge and persist a fully-done campaign (lock held)."""
         docs = [u.result for u in c.units.values()]
@@ -421,15 +428,23 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     def submit_campaign(self, spec: CampaignSpec) -> str:
         """Queue a campaign; returns its id.  Re-submitting an
-        identical spec returns the existing campaign (idempotent)."""
+        identical spec returns the existing campaign (idempotent).
+
+        The world and shard plan are built outside the lock, so leases,
+        submits and heartbeats never wait on a first-use build; the
+        idempotency check runs again once they exist, since an
+        identical spec may have been queued meanwhile."""
         with self._lock:
-            for cid in self._open:
-                if self._campaigns[cid].submitted == spec:
-                    return cid
-            bundle = bundle_for(spec.seed, spec.scale)
-            plan = shards_for(bundle, spec)
-            capped = CampaignSpec(**{**spec.to_dict(),
-                                     "shards": len(plan)})
+            cid = self._open_campaign_for(spec)
+        if cid is not None:
+            return cid
+        bundle = bundle_for(spec.seed, spec.scale)
+        plan = shards_for(bundle, spec)
+        capped = CampaignSpec(**{**spec.to_dict(), "shards": len(plan)})
+        with self._lock:
+            cid = self._open_campaign_for(spec)
+            if cid is not None:
+                return cid
             self._campaign_counter += 1
             cid = f"c{self._campaign_counter:03d}-{capped.digest[:8]}"
             units = {(r, s): UnitState(round=r, shard=s)

@@ -20,7 +20,7 @@ Gao-Rexford phases over the flat CSR arrays of a shared
 array-backed :class:`~repro.routing.compiled.RouteTable` views —
 ~3-4x faster and ~10x smaller per table than the retained
 :class:`ReferenceRouting` dict implementation, which stays around as
-the equivalence oracle for tests and ``scripts/bench_routing.py``.
+the equivalence oracle for tests and ``scripts/micro.py``.
 """
 
 from __future__ import annotations
@@ -211,10 +211,9 @@ class BGPRouting:
         their four result columns straight into a preallocated
         :class:`~repro.routing.compiled.SharedTableStore` slot, and the
         only thing a worker returns is its slot index.  No table —
-        input or output — ever crosses the pipe as a pickle.  (On
-        platforms without POSIX shared memory the legacy path ships
-        bare arrays back instead.)  Returns the number of tables
-        computed.
+        input or output — ever crosses the pipe as a pickle.  On
+        platforms without POSIX shared memory the tables are computed
+        serially.  Returns the number of tables computed.
         """
         pending = [d for d in dict.fromkeys(dests)
                    if d not in self._tables]
@@ -224,29 +223,21 @@ class BGPRouting:
         if not pending:
             return 0
         from repro.exec import map_tasks, resolve_workers, shm_supported
-        if resolve_workers(workers) == 1:
+        if resolve_workers(workers) == 1 or not shm_supported():
             for dst in pending:
                 self.routes_to(dst)
             return len(pending)
         compiled = self._compiled
-        if shm_supported():
-            with compiled.share() as share, \
-                    SharedTableStore(len(pending), compiled.n) as store:
-                tasks = [(slot, compiled.index[dst])
-                         for slot, dst in enumerate(pending)]
-                map_tasks(_precompute_shared_table, tasks,
-                          workers=workers, payload=share, shared=store,
-                          label="routing_tables")
-                for slot, dst in enumerate(pending):
-                    _TABLE_COMPUTES.inc()
-                    self._tables[dst] = store.table(slot, compiled)
-            return len(pending)
-        # Fallback data plane: pickle bare table columns back.
-        tables = map_tasks(_precompute_table, pending, workers=workers,
-                           payload=self, label="routing_tables")
-        for dst, table in zip(pending, tables):
-            _TABLE_COMPUTES.inc()
-            self._tables[dst] = table.bind(compiled)
+        with compiled.share() as share, \
+                SharedTableStore(len(pending), compiled.n) as store:
+            tasks = [(slot, compiled.index[dst])
+                     for slot, dst in enumerate(pending)]
+            map_tasks(_precompute_shared_table, tasks,
+                      workers=workers, payload=share, shared=store,
+                      label="routing_tables")
+            for slot, dst in enumerate(pending):
+                _TABLE_COMPUTES.inc()
+                self._tables[dst] = store.table(slot, compiled)
         return len(pending)
 
     # ------------------------------------------------------------------
@@ -276,15 +267,6 @@ def _walk_next_hops(table: RouteTable, src: int,
     return path
 
 
-def _precompute_table(dst: int) -> RouteTable:
-    """Worker task (fallback data plane): one destination's routing
-    table, pickled back from the fork-inherited :class:`BGPRouting`
-    payload.  Only used when :func:`repro.exec.shm_supported` is
-    false."""
-    from repro.exec import current_payload
-    return current_payload()._compute(dst)
-
-
 def _precompute_shared_table(task: tuple[int, int]) -> int:
     """Worker task (shared-memory data plane): compute one table and
     write its columns into the batch's shared store slot.
@@ -310,7 +292,7 @@ class ReferenceRouting:
     one ``dict[int, RouteEntry]`` per destination.  It exists as the
     equivalence oracle — ``tests/test_compiled_routing.py`` asserts the
     array engine produces identical entries, paths and reachable sets,
-    and ``scripts/bench_routing.py`` measures the speedup against it —
+    and ``scripts/micro.py`` measures the speedup against it —
     so keep its semantics frozen.
     """
 

@@ -20,8 +20,8 @@ information they carry.  This module is the compiled replacement:
 
 ``ReferenceRouting`` in :mod:`repro.routing.bgp` retains the original
 dict implementation; ``tests/test_compiled_routing.py`` and
-``scripts/bench_routing.py`` hold the two engines identical on every
-pinned seed.
+``scripts/micro.py`` hold the two engines identical on every pinned
+seed.
 """
 
 from __future__ import annotations
@@ -396,7 +396,7 @@ class RouteTable:
     ``via_ixp`` (indexed by the compiled dense AS index) that behaves
     exactly like the ``dict[int, RouteEntry]`` it replaced: ``in``,
     ``[]``, iteration over routed ASNs, ``len``, equality — while
-    storing ~10x fewer bytes and pickling as raw arrays.  ``next_hop``
+    storing ~10x fewer bytes.  ``next_hop``
     holds dense indexes; ``via_ixp`` holds ``-1`` for "no fabric".
     """
 
@@ -412,22 +412,6 @@ class RouteTable:
         self.via_ixp = via_ixp
         self._compiled = compiled
         self._size: Optional[int] = None
-
-    # -- pickling: arrays travel, the (fork-shared) compiled topo does
-    # -- not; the parent re-binds after a parallel precompute.
-    def __getstate__(self):
-        return (self.kind, self.length, self.next_hop, self.via_ixp)
-
-    def __setstate__(self, state) -> None:
-        self.kind, self.length, self.next_hop, self.via_ixp = state
-        self._compiled = None
-        self._size = None
-
-    def bind(self, compiled: CompiledTopology) -> "RouteTable":
-        """Attach the compiled topology (after crossing a process
-        boundary); returns ``self`` for chaining."""
-        self._compiled = compiled
-        return self
 
     # ------------------------------------------------------------------
     def __contains__(self, asn: object) -> bool:

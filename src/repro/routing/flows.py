@@ -6,16 +6,21 @@ principled cross-check: a country's usable international capacity is
 the *maximum flow* it can push to the global core (EU/US hubs) over the
 surviving cable segments and terrestrial links.  The ablation benchmark
 compares the two severity estimates.
+
+networkx is imported where max-flow runs, not at module import: every
+process that routes imports :mod:`repro.routing`, and only this
+analyzer needs networkx.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.routing.physical import PhysicalNetwork
 from repro.topology import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: The global core the flow must reach (transit/hosting hubs).
 CORE_COUNTRIES = ("DE", "GB", "FR", "NL", "US")
@@ -34,6 +39,7 @@ class FlowAnalyzer:
         self._cache: dict[tuple[str, frozenset[int]], float] = {}
 
     def _graph(self, down_cables: frozenset[int]) -> nx.Graph:
+        import networkx as nx
         graph = nx.Graph()
         for iso2 in self._phys.countries():
             for edge in self._phys.edges_at(iso2):
@@ -63,6 +69,7 @@ class FlowAnalyzer:
         if iso2 not in graph or _SINK not in graph:
             self._cache[key] = 0.0
             return 0.0
+        import networkx as nx
         value, _ = nx.maximum_flow(graph, iso2, _SINK,
                                    capacity="capacity")
         self._cache[key] = value

@@ -15,7 +15,7 @@ endpoint's deterministic document, and every path above — including
 the in-memory hot tier (:class:`repro.service.hotcache.HotCache`) —
 serves exactly those bytes: hot, cold and disk-warm responses are
 byte-identical, which the service smoke test, the test suite and
-``scripts/bench_load.py`` all assert.
+perfbench's oracle (``perfbench/oracle.py``) all assert.
 
 :class:`ObservatoryService` is the transport-agnostic core:
 ``dispatch(method, target, headers)`` implements GET/HEAD/DELETE plus

@@ -5,21 +5,22 @@ arrays) must be observationally identical to the retained pure-dict
 :class:`ReferenceRouting` oracle — same ``RouteEntry`` tuples, same
 paths, same reachable sets, same tie-breaks — across topology families
 and seeds.  On top of that: the array ``RouteTable`` must behave like
-the mapping it replaced (including across pickling), serial and
-parallel ``precompute`` must agree on the array representation, and
-``DeltaRouting`` must match a full recompute for every what-if
-scenario type.
+the mapping it replaced, serial and parallel ``precompute`` must agree
+on the array representation (and a host without shared memory must
+fall back to the serial loop), and ``DeltaRouting`` must match a full
+recompute for every what-if scenario type.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
 
 from test_random_topologies import _random_topology
 
+import repro.exec
+import repro.exec.pool
 from repro.exec import RoutingContext, fork_available
 from repro.routing import (
     BGPRouting,
@@ -107,17 +108,6 @@ class TestRouteTableView:
         assert dict(table.items()) == table.to_dict()
         assert all(isinstance(e, RouteEntry) for e in table.values())
 
-    def test_pickle_round_trip_and_bind(self, topo):
-        routing = BGPRouting(topo)
-        dst = sorted(topo.ases)[5]
-        table = routing.routes_to(dst)
-        loaded = pickle.loads(pickle.dumps(table))
-        # The compiled topology is deliberately not serialized (workers
-        # ship bare arrays); rebinding restores full view behavior.
-        assert loaded.bind(routing.compiled) is loaded
-        assert loaded == table
-        assert loaded.to_dict() == table.to_dict()
-
     @needs_fork
     def test_serial_vs_parallel_precompute_identity(self, topo):
         dests = sorted(topo.ases)[:24]
@@ -132,6 +122,24 @@ class TestRouteTableView:
             assert a.length == b.length
             assert a.next_hop == b.next_hop
             assert a.via_ixp == b.via_ixp
+
+    def test_precompute_without_shared_memory_runs_serially(
+            self, topo, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("precompute started a worker pool")
+
+        monkeypatch.setattr(repro.exec, "shm_supported", lambda: False)
+        monkeypatch.setattr(repro.exec.pool, "ProcessPoolExecutor",
+                            no_pool)
+        dests = sorted(topo.ases)[:24]
+        serial = BGPRouting(topo)
+        fallback = BGPRouting(topo)
+        assert serial.precompute(dests, workers=1) == len(dests)
+        assert fallback.precompute(dests, workers=2) == len(dests)
+        for dst in dests:
+            a, b = serial.routes_to(dst), fallback.routes_to(dst)
+            assert (a.kind, a.length, a.next_hop, a.via_ixp) \
+                == (b.kind, b.length, b.next_hop, b.via_ixp)
 
 
 class TestValleyFree:

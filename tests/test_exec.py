@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import build_world
@@ -9,7 +12,6 @@ from repro.exec import (
     CONTEXT,
     MIN_CHUNKSIZE,
     RoutingContext,
-    WorkerPool,
     chunk_plan,
     current_payload,
     fork_available,
@@ -33,6 +35,11 @@ def _square(x: int) -> int:
 
 def _with_payload(x: int) -> int:
     return x + current_payload()
+
+
+def _payload_seen(x: int):
+    time.sleep(0.001)  # yield the interpreter lock mid-batch
+    return current_payload()
 
 
 def _nested(x: int) -> list[int]:
@@ -63,6 +70,32 @@ class TestMapTasks:
         assert map_tasks(_with_payload, [1, 2], workers=2,
                          payload=10) == [11, 12]
 
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_concurrent_batches_see_their_own_payload(self, workers):
+        # The service runs two job threads; each thread's batches must
+        # read only the payload that thread passed, never the other's.
+        batches, items = (20, 20) if workers == 1 else (10, 8)
+        start = threading.Barrier(2)
+        seen: dict[str, list] = {"a": [], "b": []}
+
+        def run(tag: str) -> None:
+            start.wait(timeout=30)
+            for _ in range(batches):
+                seen[tag].extend(map_tasks(_payload_seen, range(items),
+                                           workers=workers, payload=tag))
+
+        threads = [threading.Thread(target=run, args=(tag,))
+                   for tag in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for tag, values in seen.items():
+            assert values == [tag] * (batches * items)
+        assert current_payload() is None
+
     @needs_fork
     def test_nested_fanout_runs_serially(self):
         assert map_tasks(_nested, [2, 5], workers=2) == \
@@ -79,11 +112,6 @@ class TestMapTasks:
             assert get_default_workers() == 1
         finally:
             set_default_workers(before)
-
-    def test_worker_pool_maps(self):
-        pool = WorkerPool(workers=1)
-        assert not pool.parallel
-        assert pool.map(_square, [2, 4]) == [4, 16]
 
     def test_suggested_workers_positive(self):
         assert suggested_workers() >= 1

@@ -630,6 +630,48 @@ class TestOversizedShards:
 
 
 # ----------------------------------------------------------------------
+# World builds run outside the coordinator lock
+# ----------------------------------------------------------------------
+class TestSubmitBuildsOutsideTheLock:
+    @pytest.fixture()
+    def slow_build(self, monkeypatch):
+        import repro.fleet.coordinator as coordinator
+
+        def slow_bundle_for(seed: int, scale: float):
+            time.sleep(0.5)
+            return bundle_for(seed, scale)
+
+        monkeypatch.setattr(coordinator, "bundle_for", slow_bundle_for)
+
+    def test_heartbeat_answers_during_a_first_use_build(self,
+                                                        slow_build):
+        coord = FleetCoordinator()
+        submit = _Call(lambda: coord.submit_campaign(SPEC))
+        submit.start()
+        time.sleep(0.1)
+        assert submit.is_alive()
+        since = time.monotonic()
+        assert coord.heartbeat("a")["ok"]
+        assert time.monotonic() - since < 0.1
+        submit.join(timeout=30.0)
+        assert not submit.is_alive()
+        assert submit.result.startswith("c001-")
+
+    def test_concurrent_identical_submits_return_one_id(self,
+                                                        slow_build):
+        coord = FleetCoordinator()
+        calls = [_Call(lambda: coord.submit_campaign(SPEC))
+                 for _ in range(2)]
+        for call in calls:
+            call.start()
+        for call in calls:
+            call.join(timeout=30.0)
+            assert not call.is_alive()
+        assert calls[0].result == calls[1].result
+        assert len(coord.status()["campaigns"]) == 1
+
+
+# ----------------------------------------------------------------------
 # Artifact store + event trail integration
 # ----------------------------------------------------------------------
 class TestIntegration:

@@ -1,5 +1,9 @@
 """Max-flow analyzer and the stakeholder report."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.routing import FlowAnalyzer
@@ -13,6 +17,16 @@ def flows(topo, phys):
 
 
 class TestFlows:
+    def test_routing_service_and_fleet_do_not_import_networkx(self):
+        # Only max-flow needs networkx; every routing process would
+        # otherwise pay for loading it.
+        code = ("import sys, repro.routing, repro.service.server, "
+                "repro.fleet; print('networkx' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env={
+            **os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_core_reachable_from_coastal_africa(self, flows):
         assert flows.capacity_to_core("GH") > 0
         assert flows.capacity_to_core("KE") > 0

@@ -28,7 +28,7 @@ from repro.service import (
 )
 from repro.service.endpoints import ENDPOINTS, BadRequest
 from repro.service.jobs import JobQueue
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, canonical_bytes
 
 #: Cheap worlds for HTTP tests: seed shared with the session fixtures
 #: so the world LRU in repro.service.endpoints stays warm.
@@ -278,6 +278,38 @@ class TestDeterminism:
     def test_parse_params_rejects_unknown(self):
         with pytest.raises(BadRequest):
             ENDPOINTS["summary"].parse_params({"nope": "1"})
+
+    def test_concurrent_cold_requests_get_their_own_bytes(self,
+                                                           tmp_path):
+        """Two job threads computing different worlds at once: each
+        response equals the serial oracle for its own seed (detours
+        fans its traceroutes out through ``map_tasks``)."""
+        service = create_service(store=ArtifactStore(root=tmp_path),
+                                 job_workers=2, default_seed=SEED)
+        seeds = (SEED, 11)
+        start = threading.Barrier(len(seeds))
+        bodies: dict[int, bytes] = {}
+
+        def request(seed: int) -> None:
+            start.wait(timeout=30)
+            bodies[seed] = service.handle(
+                f"/v1/detours?seed={seed}&wait=1").body
+
+        threads = [threading.Thread(target=request, args=(seed,))
+                   for seed in seeds]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            service.queue.shutdown()
+        endpoint = ENDPOINTS["detours"]
+        for seed in seeds:
+            params = endpoint.parse_params({})
+            assert bodies[seed] == canonical_bytes(
+                endpoint.payload(seed, params))
 
 
 # ----------------------------------------------------------------------
@@ -692,7 +724,6 @@ class TestSnapshotEndpoint:
                 assert set(hop) == {"ttl", "ip", "rtt_ms"}
 
     def test_deterministic_in_seed_and_params(self):
-        from repro.store import canonical_bytes
         endpoint = ENDPOINTS["snapshot"]
         params = endpoint.parse_params({"pairs": "20"})
         a = canonical_bytes(endpoint.payload(SEED, params))
